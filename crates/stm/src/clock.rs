@@ -136,10 +136,9 @@ pub trait VersionClock: Send + Sync + 'static {
     fn refresh(&self, observed: u64) -> bool;
 }
 
-/// Closed union of the built-in clocks, same inlining pattern as
-/// [`crate::storage::AnyLockTable`]: stamp acquisition sits on the commit
-/// hot path and read-stamp sampling on the begin path, so this is a
-/// three-arm match that inlines, not virtual dispatch.
+/// Closed union of the built-in clocks: stamp acquisition sits on the
+/// commit hot path and read-stamp sampling on the begin path, so this is a
+/// match that inlines, not virtual dispatch.
 pub enum AnyClock {
     /// The `fetch_add` baseline.
     Gv1(Gv1Clock),
@@ -491,10 +490,17 @@ impl AutoClock {
         *self.handoff.pending.lock().unwrap() = Some(ticket.clone());
         // Registered after the pending slot is filled and its lock dropped:
         // the callback (run by whichever thread completes the period) takes
-        // the same lock.
-        let handoff = Arc::clone(&self.handoff);
+        // the same lock. It holds the handoff only weakly: the engine keeps
+        // pending callbacks and the handoff keeps the pending ticket (hence
+        // the engine), so a strong reference would leak both when the
+        // clock is dropped mid-handoff. A clock already gone has nothing to
+        // settle.
+        let handoff = Arc::downgrade(&self.handoff);
         let tel = self.telemetry.get().filter(|t| t.enabled()).cloned();
         ticket.on_complete(move || {
+            let Some(handoff) = handoff.upgrade() else {
+                return;
+            };
             handoff.settled.store(true, Ordering::SeqCst);
             handoff.pending.lock().unwrap().take();
             if let Some(t) = tel {
@@ -692,6 +698,33 @@ mod tests {
         assert_eq!(c.write_stamp(0, 3).wver, 4);
     }
 
+    /// The settle callback must not keep the clock's handoff (and through
+    /// its pending ticket, the grace engine) alive: an instance dropped
+    /// while a discipline switch is still settling frees its engine.
+    #[test]
+    fn dropping_mid_handoff_frees_the_engine() {
+        use crate::prelude::*;
+        use crate::tl2::GOVERNOR_WINDOW;
+        let stm = Tl2Stm::with_config(
+            StmConfig::new(4, 1)
+                .clock(ClockKind::Auto)
+                .grace_driver(DriverMode::Cooperative),
+        );
+        let mut h = stm.handle(0);
+        for i in 0..GOVERNOR_WINDOW {
+            h.atomic(|tx| tx.write(0, i + 1));
+        }
+        assert_eq!(stm.clock_switches(), 1, "write-heavy fold -> GV5");
+        assert!(stm.clock_handoff_pending(), "nothing drove the period yet");
+        let engine = std::sync::Arc::downgrade(stm.runtime().grace());
+        drop(h);
+        drop(stm);
+        assert!(
+            engine.upgrade().is_none(),
+            "a pending settle callback leaked the grace engine"
+        );
+    }
+
     #[test]
     fn auto_starts_as_gv1_and_labels() {
         let c = AutoClock::new(2);
@@ -777,7 +810,10 @@ mod tests {
     fn auto_mixed_disciplines_uphold_stamp_ordering() {
         // Hammer the clock from 4 slots while a fifth thread keeps
         // switching disciplines: every stamp must still exceed the rv its
-        // thread started from, even mid-handoff.
+        // thread started from, even mid-handoff. The stampers keep going
+        // until the toggler has switched at least once, so the overlap
+        // does not depend on the toggler being scheduled before 2000
+        // stamps are done.
         let engine = GraceEngine::new(4);
         let c = std::sync::Arc::new(AutoClock::new(4));
         let stop = AtomicBool::new(false);
@@ -786,7 +822,10 @@ mod tests {
                 .map(|t| {
                     let c = std::sync::Arc::clone(&c);
                     s.spawn(move || {
-                        for _ in 0..2000 {
+                        for i in 0.. {
+                            if i >= 2000 && c.switches() >= 1 {
+                                break;
+                            }
                             let rv = c.read_stamp();
                             let st = c.write_stamp(t, rv);
                             assert!(st.wver > rv, "wver {} ≤ rv {}", st.wver, rv);

@@ -9,7 +9,7 @@
 //!
 //! A concrete STM is a [`Policy`] — a concurrency-control strategy deciding
 //! how transactional reads, writes, and commits synchronize (TL2 over a
-//! [`crate::storage::LockTable`], NOrec's global sequence lock, a single
+//! [`crate::storage::AdaptiveTable`], NOrec's global sequence lock, a single
 //! global lock). [`Handle`] composes a policy with the runtime and
 //! implements [`StmHandle`] exactly once, so the recorded-history shape —
 //! `TxBegin/Ok … TxCommit/(Committed|Aborted)`, responses recorded before

@@ -1,31 +1,39 @@
-//! Pluggable ownership-record storage for versioned-lock STMs.
+//! The ownership-record table behind TL2's versioned write-locks.
 //!
 //! TL2-style algorithms need one *versioned write-lock* per guarded unit of
 //! data. How those lock words are laid out is an implementation axis the
 //! paper's correctness argument never depends on (the TM-interface actions
 //! are the same either way), but it dominates the memory footprint and the
-//! false-conflict rate:
+//! false-conflict rate. There is exactly one table type, [`AdaptiveTable`]:
+//! a sequence of [`StripedTable`] *generations* in which register `x` is
+//! guarded by stripe `splitmix64(x) & (nstripes - 1)`. The three
+//! [`StorageKind`] presets only choose how that table starts and whether
+//! it may ever resize:
 //!
-//! * [`PerRegisterTable`] — one [`VLock`] per register, cache-padded. No
-//!   false conflicts, but 128 bytes of metadata per register: unusable for
-//!   the ROADMAP's millions-of-registers deployments.
-//! * [`StripedTable`] — a fixed-size *striped orec table*: register `x` is
-//!   guarded by stripe `splitmix64(x) % nstripes`. Constant metadata
+//! * [`StorageKind::PerRegister`] — exactly `nregs` stripes with the
+//!   *identity* mapping (`stripe_of(x) == x`), never resized and keeping no
+//!   writer hints. No false conflicts, but 128 bytes of metadata per
+//!   register.
+//! * [`StorageKind::Striped`] — a fixed stripe count (`start == max`, no
+//!   shrink), so it never publishes a new generation. Constant metadata
 //!   footprint, at the price of *false conflicts* between registers that
 //!   share a stripe (production TL2 descendants make exactly this trade).
+//! * [`StorageKind::Adaptive`] — the contention-aware table described
+//!   below.
 //!
-//! Both present the same [`LockTable`] interface, so a concurrency-control
-//! policy written against it (see [`crate::tl2`]) is storage-agnostic.
 //! Striping is conservative, never unsound: sharing a stripe only makes the
 //! version check *more* likely to abort, and commit-time acquisition locks
 //! each distinct stripe exactly once (see [`crate::tl2`]'s stripe dedup).
+//! A table that can never resize skips the per-commit window counters, so
+//! the fixed presets pay no shared-line write for the adaptivity they do
+//! not use.
 //!
 //! # Contention-aware adaptive striping
 //!
 //! A fixed stripe count is a guess: too small and disjoint-write workloads
 //! drown in false conflicts, too large and a small register file pays for
-//! metadata it never contends on. [`AdaptiveTable`] resolves the guess at
-//! run time: it starts from a small [`StripedTable`], counts *false*
+//! metadata it never contends on. The adaptive preset resolves the guess at
+//! run time: its table starts from a small [`StripedTable`], counts *false*
 //! conflicts (aborts where the failing stripe's last committed writer is a
 //! different register than the aborting one — detected by re-hashing the
 //! aborting key against the stripe's writer hint), and when the observed
@@ -77,15 +85,18 @@ use std::sync::{Arc, Mutex, OnceLock};
 use tm_quiesce::{GraceEngine, GraceTicket};
 use tm_telemetry::{EventKind, Telemetry};
 
-/// Storage backend selection for versioned-lock policies, used by
-/// [`crate::runtime::StmConfig`].
+/// Storage preset for versioned-lock policies, used by
+/// [`crate::runtime::StmConfig`]. Every preset builds the same
+/// [`AdaptiveTable`] (see the module docs).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum StorageKind {
-    /// One ownership record per register (the classic layout).
+    /// One ownership record per register (the classic layout): an
+    /// identity-mapped table that never resizes.
     #[default]
     PerRegister,
-    /// A striped orec table with `stripes` lock words; registers hash onto
-    /// stripes with a splitmix64 mix of the register index.
+    /// A striped orec table with `stripes` lock words that never resizes;
+    /// registers hash onto stripes with a splitmix64 mix of the register
+    /// index.
     Striped {
         /// Number of lock words (rounded up to a power of two).
         stripes: usize,
@@ -97,34 +108,15 @@ pub enum StorageKind {
 }
 
 impl StorageKind {
-    /// Build a *fixed* lock table for a register file of `nregs` registers.
-    ///
-    /// # Panics
-    ///
-    /// Panics for [`StorageKind::Adaptive`]: the adaptive table is a
-    /// multi-generation structure built through [`StorageKind::build_tables`]
-    /// and driven by a generation-aware policy, not a bare [`LockTable`].
-    pub fn build(self, nregs: usize) -> AnyLockTable {
-        match self {
-            StorageKind::PerRegister => AnyLockTable::PerRegister(PerRegisterTable::new(nregs)),
-            StorageKind::Striped { stripes } => AnyLockTable::Striped(StripedTable::new(stripes)),
-            StorageKind::Adaptive(_) => {
-                panic!("adaptive storage is built via StorageKind::build_tables")
-            }
-        }
-    }
-
-    /// Build the (possibly adaptive) table set for a register file of
-    /// `nregs` registers — what generation-aware policies consume. This is
-    /// where an [`AdaptivePolicy`] with the `start == 0` sentinel gets its
-    /// initial stripe count seeded from `nregs` (see
+    /// Build the lock table for a register file of `nregs` registers. This
+    /// is where an [`AdaptivePolicy`] with the `start == 0` sentinel gets
+    /// its initial stripe count seeded from `nregs` (see
     /// [`AdaptivePolicy::seeded`]).
-    pub fn build_tables(self, nregs: usize) -> AnyTables {
+    pub fn build_tables(self, nregs: usize) -> AdaptiveTable {
         match self {
-            StorageKind::Adaptive(policy) => {
-                AnyTables::Adaptive(AdaptiveTable::new(policy.seeded(nregs)))
-            }
-            fixed => AnyTables::Fixed(fixed.build(nregs)),
+            StorageKind::PerRegister => AdaptiveTable::fixed(StripedTable::identity(nregs)),
+            StorageKind::Striped { stripes } => AdaptiveTable::fixed(StripedTable::new(stripes)),
+            StorageKind::Adaptive(policy) => AdaptiveTable::new(policy.seeded(nregs)),
         }
     }
 
@@ -150,72 +142,6 @@ impl StorageKind {
     }
 }
 
-/// Closed union of the built-in backends. Policies store this (rather than
-/// `Box<dyn LockTable>`) so the per-read lock-word sampling on the hot path
-/// is a two-arm match that inlines, not virtual dispatch. The open
-/// [`LockTable`] trait remains the abstraction to write code against.
-pub enum AnyLockTable {
-    /// One orec per register.
-    PerRegister(PerRegisterTable),
-    /// A fixed striped orec table.
-    Striped(StripedTable),
-}
-
-macro_rules! delegate {
-    ($self:ident, $t:ident => $e:expr) => {
-        match $self {
-            AnyLockTable::PerRegister($t) => $e,
-            AnyLockTable::Striped($t) => $e,
-        }
-    };
-}
-
-impl LockTable for AnyLockTable {
-    #[inline]
-    fn stripe_of(&self, x: usize) -> usize {
-        delegate!(self, t => t.stripe_of(x))
-    }
-
-    fn nstripes(&self) -> usize {
-        delegate!(self, t => t.nstripes())
-    }
-
-    #[inline]
-    fn sample_stripe(&self, s: usize) -> VLockState {
-        delegate!(self, t => t.sample_stripe(s))
-    }
-
-    #[inline]
-    fn try_lock_stripe(&self, s: usize, owner: u16) -> Result<u64, VLockState> {
-        delegate!(self, t => t.try_lock_stripe(s, owner))
-    }
-
-    #[inline]
-    fn unlock_stripe(&self, s: usize) {
-        delegate!(self, t => t.unlock_stripe(s))
-    }
-
-    #[inline]
-    fn unlock_stripe_set_version(&self, s: usize, version: u64) {
-        delegate!(self, t => t.unlock_stripe_set_version(s, version))
-    }
-
-    #[inline]
-    fn record_writer(&self, s: usize, x: usize) {
-        delegate!(self, t => t.record_writer(s, x))
-    }
-
-    #[inline]
-    fn record_writer_shared(&self, s: usize) {
-        delegate!(self, t => t.record_writer_shared(s))
-    }
-
-    #[inline]
-    fn writer_hint(&self, s: usize) -> WriterHint {
-        delegate!(self, t => t.writer_hint(s))
-    }
-}
-
 /// What a stripe's *writer hint* says about the last commit through it —
 /// the advisory signal behind false-conflict classification. Hints are
 /// written while the stripe lock is held and read racily; they can lag an
@@ -224,115 +150,13 @@ impl LockTable for AnyLockTable {
 /// bounds the classifier's error without ever affecting correctness.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WriterHint {
-    /// No commit has gone through the stripe (or the table is precise).
+    /// No commit has gone through the stripe.
     None,
     /// The last commit wrote exactly this register through the stripe.
     Register(usize),
     /// The last commit wrote several registers through the stripe: an
     /// abort here may be a real conflict on any of them.
     Shared,
-}
-
-/// A table of versioned write-locks guarding a register file.
-///
-/// Registers map many-to-one onto *stripes* (lock words). All locking and
-/// validation happens at stripe granularity; `stripe_of` is total, so every
-/// register is always guarded. Implementations must be sound under the TL2
-/// protocol: a stripe's version only changes while the stripe is write-locked,
-/// and monotonically increases.
-pub trait LockTable: Send + Sync + 'static {
-    /// The stripe (lock-word index) guarding register `x`.
-    fn stripe_of(&self, x: usize) -> usize;
-
-    /// Number of distinct lock words.
-    fn nstripes(&self) -> usize;
-
-    /// Read the (version, owner) pair of stripe `s`.
-    fn sample_stripe(&self, s: usize) -> VLockState;
-
-    /// Try to lock stripe `s` for `owner`; returns the version on success.
-    fn try_lock_stripe(&self, s: usize, owner: u16) -> Result<u64, VLockState>;
-
-    /// Release stripe `s`, keeping its version (abort path).
-    fn unlock_stripe(&self, s: usize);
-
-    /// Release stripe `s`, installing a new version (commit write-back).
-    fn unlock_stripe_set_version(&self, s: usize, version: u64);
-
-    /// Note that register `x` was just committed through stripe `s` — an
-    /// *advisory* hint used for false-conflict telemetry. Tables that never
-    /// produce false conflicts (per-register) keep the default no-op.
-    fn record_writer(&self, _s: usize, _x: usize) {}
-
-    /// Note that the last commit wrote *several* registers through stripe
-    /// `s`: a later abort there may be a real conflict on any of them, so
-    /// the classifier must not call it false.
-    fn record_writer_shared(&self, _s: usize) {}
-
-    /// What the last commit through stripe `s` reported (advisory;
-    /// [`WriterHint::None`] for precise tables and never-written stripes).
-    /// An abort on register `x` whose stripe hints a *different single*
-    /// register is a *false conflict* — the two merely share a lock word.
-    fn writer_hint(&self, _s: usize) -> WriterHint {
-        WriterHint::None
-    }
-
-    /// Sample the lock word guarding register `x`.
-    fn sample(&self, x: usize) -> VLockState {
-        self.sample_stripe(self.stripe_of(x))
-    }
-}
-
-fn vlock_array(n: usize) -> Box<[CachePadded<VLock>]> {
-    (0..n)
-        .map(|_| CachePadded::new(VLock::new()))
-        .collect::<Vec<_>>()
-        .into_boxed_slice()
-}
-
-/// One cache-padded [`VLock`] per register: precise, memory-hungry.
-pub struct PerRegisterTable {
-    locks: Box<[CachePadded<VLock>]>,
-}
-
-impl PerRegisterTable {
-    /// A table with one lock word per register.
-    pub fn new(nregs: usize) -> Self {
-        PerRegisterTable {
-            locks: vlock_array(nregs),
-        }
-    }
-}
-
-impl LockTable for PerRegisterTable {
-    #[inline]
-    fn stripe_of(&self, x: usize) -> usize {
-        x
-    }
-
-    fn nstripes(&self) -> usize {
-        self.locks.len()
-    }
-
-    #[inline]
-    fn sample_stripe(&self, s: usize) -> VLockState {
-        self.locks[s].sample()
-    }
-
-    #[inline]
-    fn try_lock_stripe(&self, s: usize, owner: u16) -> Result<u64, VLockState> {
-        self.locks[s].try_lock(owner)
-    }
-
-    #[inline]
-    fn unlock_stripe(&self, s: usize) {
-        self.locks[s].unlock()
-    }
-
-    #[inline]
-    fn unlock_stripe_set_version(&self, s: usize, version: u64) {
-        self.locks[s].unlock_set_version(version)
-    }
 }
 
 /// Finalizing step of the splitmix64 generator: a cheap, well-mixed hash.
@@ -344,23 +168,37 @@ pub fn splitmix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A fixed-size striped orec table: metadata footprint is `stripes` lock
-/// words however large the register file grows.
+/// One generation's striped orec table: metadata footprint is `stripes`
+/// lock words however large the register file grows.
 ///
 /// The stripe count is rounded up to a power of two so the per-read
 /// `stripe_of` mapping is a mask (`hash & (n - 1)`) instead of a hardware
 /// divide — `stripe_of` runs twice per transactional read, and splitmix64
-/// mixes all 64 bits, so masking loses nothing to modulo in spread.
+/// mixes all 64 bits, so masking loses nothing to modulo in spread. An
+/// identity-mapped table (the per-register preset) has exactly one stripe
+/// per register and skips both hash and mask: register `x` is stripe `x`,
+/// which is what makes that preset precise. It never resizes and keeps no
+/// writer hints (no conflict on it can be false).
+///
+/// Aligned to a cache-line pair: every transactional access reads these
+/// words from every thread, and a generation is allocated by whichever
+/// committer publishes it, next to that thread's short-lived allocations.
+/// Without the alignment a neighbour written by one thread can share the
+/// line and make every access on the other thread miss.
+#[repr(align(128))]
 pub struct StripedTable {
     locks: Box<[CachePadded<VLock>]>,
-    /// `locks.len() - 1`; valid because the length is a power of two.
+    /// `locks.len() - 1` for a hashed table, whose length is a power of
+    /// two; unused by an identity-mapped one.
     mask: u64,
+    /// `false` for an identity-mapped table (`stripe_of(x) == x`).
+    hashed: bool,
     /// Advisory per-stripe writer hints (`register + 1`; 0 = never
     /// written; `u64::MAX` = the last commit wrote several registers
     /// through this stripe): which register the last commit through this
     /// stripe was for. Written while the stripe lock is held, read
     /// racily — the hint only feeds false-conflict *telemetry*, never
-    /// correctness.
+    /// correctness. Empty for an identity-mapped table.
     writers: Box<[AtomicU64]>,
 }
 
@@ -373,9 +211,24 @@ impl StripedTable {
         assert!(stripes > 0, "a striped table needs at least one stripe");
         let n = stripes.next_power_of_two();
         StripedTable {
-            locks: vlock_array(n),
+            locks: (0..n).map(|_| CachePadded::new(VLock::new())).collect(),
             mask: n as u64 - 1,
+            hashed: true,
             writers: (0..n).map(|_| AtomicU64::new(0)).collect(),
+        }
+    }
+
+    /// An identity-mapped table for a register file of `nregs` registers:
+    /// exactly one lock word per register and `stripe_of(x) == x`, so no
+    /// two registers ever share a stripe.
+    pub(crate) fn identity(nregs: usize) -> Self {
+        StripedTable {
+            locks: (0..nregs.max(1))
+                .map(|_| CachePadded::new(VLock::new()))
+                .collect(),
+            mask: 0,
+            hashed: false,
+            writers: Box::new([]),
         }
     }
 
@@ -388,6 +241,7 @@ impl StripedTable {
     /// covered by the migration window: until the retiring grace period
     /// elapses, every new-generation transaction also checks the parent.)
     pub fn grown_from(parent: &StripedTable) -> Self {
+        debug_assert!(parent.hashed, "identity tables never resize");
         let child = StripedTable::new(parent.nstripes() * 2);
         for s in 0..child.nstripes() {
             let p = s & parent.mask as usize;
@@ -408,6 +262,7 @@ impl StripedTable {
     /// [`WriterHint::Shared`] so the false-conflict classifier never calls
     /// a possibly-real conflict false.
     pub fn shrunk_from(parent: &StripedTable) -> Self {
+        debug_assert!(parent.hashed, "identity tables never resize");
         let half = parent.nstripes() / 2;
         assert!(half >= 1, "cannot shrink a single-stripe table");
         let child = StripedTable::new(half);
@@ -426,51 +281,87 @@ impl StripedTable {
         }
         child
     }
-}
 
-impl LockTable for StripedTable {
+    /// The stripe (lock-word index) guarding register `x`. Total: every
+    /// register is always guarded.
     #[inline]
-    fn stripe_of(&self, x: usize) -> usize {
-        (splitmix64(x as u64) & self.mask) as usize
+    pub fn stripe_of(&self, x: usize) -> usize {
+        if self.hashed {
+            (splitmix64(x as u64) & self.mask) as usize
+        } else {
+            x
+        }
     }
 
-    fn nstripes(&self) -> usize {
+    /// Number of distinct lock words.
+    pub fn nstripes(&self) -> usize {
         self.locks.len()
     }
 
+    /// Read the (version, owner) pair of stripe `s`.
     #[inline]
-    fn sample_stripe(&self, s: usize) -> VLockState {
+    pub fn sample_stripe(&self, s: usize) -> VLockState {
         self.locks[s].sample()
     }
 
+    /// Sample the lock word guarding register `x`.
     #[inline]
-    fn try_lock_stripe(&self, s: usize, owner: u16) -> Result<u64, VLockState> {
+    pub fn sample(&self, x: usize) -> VLockState {
+        self.sample_stripe(self.stripe_of(x))
+    }
+
+    /// Try to lock stripe `s` for `owner`; returns the version on success.
+    #[inline]
+    pub fn try_lock_stripe(&self, s: usize, owner: u16) -> Result<u64, VLockState> {
         self.locks[s].try_lock(owner)
     }
 
+    /// Release stripe `s`, keeping its version (abort path).
     #[inline]
-    fn unlock_stripe(&self, s: usize) {
+    pub fn unlock_stripe(&self, s: usize) {
         self.locks[s].unlock()
     }
 
+    /// Release stripe `s`, installing a new version (commit write-back).
+    /// A stripe's version only changes while it is write-locked, and
+    /// monotonically increases.
     #[inline]
-    fn unlock_stripe_set_version(&self, s: usize, version: u64) {
+    pub fn unlock_stripe_set_version(&self, s: usize, version: u64) {
         self.locks[s].unlock_set_version(version)
     }
 
+    /// Note that register `x` was just committed through stripe `s` — an
+    /// *advisory* hint used for false-conflict telemetry. A no-op on an
+    /// identity-mapped table, whose stripes can only ever hint their own
+    /// register.
     #[inline]
-    fn record_writer(&self, s: usize, x: usize) {
-        // Relaxed: pure telemetry, sequenced under the stripe lock anyway.
-        self.writers[s].store(x as u64 + 1, Ordering::Relaxed);
+    pub fn record_writer(&self, s: usize, x: usize) {
+        if self.hashed {
+            // Relaxed: pure telemetry, sequenced under the stripe lock anyway.
+            self.writers[s].store(x as u64 + 1, Ordering::Relaxed);
+        }
     }
 
+    /// Note that the last commit wrote *several* registers through stripe
+    /// `s`: a later abort there may be a real conflict on any of them, so
+    /// the classifier must not call it false. (Never the case on an
+    /// identity-mapped table, where this is a no-op.)
     #[inline]
-    fn record_writer_shared(&self, s: usize) {
-        self.writers[s].store(HINT_SHARED, Ordering::Relaxed);
+    pub fn record_writer_shared(&self, s: usize) {
+        if self.hashed {
+            self.writers[s].store(HINT_SHARED, Ordering::Relaxed);
+        }
     }
 
+    /// What the last commit through stripe `s` reported (advisory;
+    /// always [`WriterHint::None`] on an identity-mapped table). An abort
+    /// on register `x` whose stripe hints a *different single* register is
+    /// a *false conflict* — the two merely share a lock word.
     #[inline]
-    fn writer_hint(&self, s: usize) -> WriterHint {
+    pub fn writer_hint(&self, s: usize) -> WriterHint {
+        if !self.hashed {
+            return WriterHint::None;
+        }
         match self.writers[s].load(Ordering::Relaxed) {
             0 => WriterHint::None,
             HINT_SHARED => WriterHint::Shared,
@@ -667,6 +558,79 @@ impl TableGen {
             prev: self.prev.as_ref().map(|p| p.sample(x)),
         }
     }
+
+    /// The table a [`GenStripe`] addresses: 1 is the current generation,
+    /// 0 the retiring parent.
+    #[inline]
+    pub(crate) fn at(&self, gen: u8) -> &StripedTable {
+        if gen == 1 {
+            &self.table
+        } else {
+            self.prev.as_deref().expect("gen-0 stripe")
+        }
+    }
+
+    /// Push the (generation, stripe) address of every lock word guarding
+    /// `x` — two during a migration window, one otherwise.
+    #[inline]
+    pub(crate) fn push_gen_stripes(&self, x: usize, out: &mut Vec<GenStripe>) {
+        out.push((1, self.table.stripe_of(x)));
+        if let Some(p) = self.prev() {
+            out.push((0, p.stripe_of(x)));
+        }
+    }
+
+    /// Does lock word `gs` guard register `x`?
+    #[inline]
+    pub(crate) fn guards(&self, (gen, s): GenStripe, x: usize) -> bool {
+        match gen {
+            1 => self.table.stripe_of(x) == s,
+            _ => self.prev().is_some_and(|p| p.stripe_of(x) == s),
+        }
+    }
+
+    /// Record `x` as the last committed writer of its stripe(s) — in every
+    /// live generation, so the hint survives a migration. Lock words in
+    /// `ambiguous` (sorted) received writes for *several* of one commit's
+    /// registers: they get the [`WriterHint::Shared`] sentinel instead, so
+    /// a later abort there is never misclassified as false.
+    #[inline]
+    pub(crate) fn record_writer(&self, x: usize, ambiguous: &[GenStripe]) {
+        fn record(t: &StripedTable, gen: u8, x: usize, ambiguous: &[GenStripe]) {
+            let s = t.stripe_of(x);
+            if ambiguous.binary_search(&(gen, s)).is_ok() {
+                t.record_writer_shared(s);
+            } else {
+                t.record_writer(s, x);
+            }
+        }
+        record(&self.table, 1, x, ambiguous);
+        if let Some(p) = self.prev() {
+            record(p, 0, x, ambiguous);
+        }
+    }
+
+    /// Advisory classification of an abort on register `x`: a *false*
+    /// conflict is one where the failing stripe's last committed writer was
+    /// a different *single* register — the two merely share a lock word.
+    /// [`WriterHint::Shared`] (multi-register commit) and
+    /// [`WriterHint::None`] never classify as false, and neither can any
+    /// abort on an identity-mapped table; and because hints are written at
+    /// write-back, a conflict with a transaction still mid-commit is judged
+    /// against the *previous* commit through the stripe — a bounded
+    /// over-count the growth threshold tolerates, never a correctness
+    /// issue.
+    #[inline]
+    pub(crate) fn false_conflict(&self, x: usize) -> bool {
+        let t = &self.table;
+        let hint = match t.writer_hint(t.stripe_of(x)) {
+            WriterHint::None => self
+                .prev()
+                .map_or(WriterHint::None, |p| p.writer_hint(p.stripe_of(x))),
+            h => h,
+        };
+        matches!(hint, WriterHint::Register(h) if h != x)
+    }
 }
 
 /// The (table, stripe) address of one lock word across generations:
@@ -674,16 +638,6 @@ impl TableGen {
 /// addresses sort first, giving every committer the same cross-generation
 /// acquisition order.
 pub type GenStripe = (u8, usize);
-
-/// Closed union of a fixed lock table and the adaptive multi-generation
-/// table — what a generation-aware policy ([`crate::tl2`]) stores.
-pub enum AnyTables {
-    /// A fixed [`AnyLockTable`]; no pinning needed.
-    Fixed(AnyLockTable),
-    /// The contention-aware adaptive table; transactions pin a
-    /// [`TableGen`] at begin.
-    Adaptive(AdaptiveTable),
-}
 
 /// Everything one adaptive-table generation switch needs to share:
 /// the authoritative generation, its id, and the grace ticket retiring the
@@ -699,7 +653,7 @@ struct AdaptiveState {
 
 /// The shared core of an [`AdaptiveTable`], behind an `Arc` so the
 /// grace-ticket completion callback that retires an old generation can
-/// outlive any particular borrow of the table.
+/// reach it (through a `Weak`) after the publishing borrow has ended.
 struct AdaptiveInner {
     /// Lock-free mirror of [`AdaptiveState::id`], so `begin` can skip the
     /// mutex when nothing changed.
@@ -745,12 +699,15 @@ impl AdaptiveInner {
     }
 }
 
-/// The contention-aware adaptive striped orec table (see module docs).
+/// The orec table: a sequence of [`StripedTable`] generations, resized
+/// under contention when its policy allows it (see module docs). Every
+/// [`StorageKind`] preset builds one.
 ///
 /// Hot-path cost for transactions: one atomic load per begin (the
-/// generation probe), plus one shared counter increment per commit and per
-/// false conflict for the sliding window. Everything else — publishing,
-/// migration polling — is off the per-access path.
+/// generation probe), plus — only when the table can resize at all — one
+/// shared counter increment per commit and per false conflict for the
+/// sliding window. Everything else — publishing, migration polling — is
+/// off the per-access path.
 pub struct AdaptiveTable {
     policy: AdaptivePolicy,
     /// Shrink-side policy, present when the contention governor armed it
@@ -763,6 +720,22 @@ impl AdaptiveTable {
     /// A fresh adaptive table at `policy.start` stripes.
     pub fn new(policy: AdaptivePolicy) -> Self {
         let policy = policy.normalized();
+        Self::with_table(policy, StripedTable::new(policy.start))
+    }
+
+    /// A table that never resizes: `table` is its only generation
+    /// (`start == max`, and no shrink policy is ever armed on it).
+    fn fixed(table: StripedTable) -> Self {
+        let n = table.nstripes();
+        let policy = AdaptivePolicy {
+            start: n,
+            max: n,
+            ..AdaptivePolicy::default()
+        };
+        Self::with_table(policy, table)
+    }
+
+    fn with_table(policy: AdaptivePolicy, table: StripedTable) -> Self {
         AdaptiveTable {
             policy,
             shrink: None,
@@ -771,7 +744,7 @@ impl AdaptiveTable {
                 state: Mutex::new(AdaptiveState {
                     id: 1,
                     current: Arc::new(TableGen {
-                        table: Arc::new(StripedTable::new(policy.start)),
+                        table: Arc::new(table),
                         prev: None,
                     }),
                     migration: None,
@@ -808,6 +781,14 @@ impl AdaptiveTable {
         self.shrink
     }
 
+    /// Can this table ever publish a new generation? `false` for the
+    /// fixed presets (`start == max` and no shrink policy), which then skip
+    /// the sliding-window counters entirely.
+    #[inline]
+    pub(crate) fn can_resize(&self) -> bool {
+        self.policy.start < self.policy.max || self.shrink.is_some()
+    }
+
     /// Generations published so far minus one — i.e. completed resizes
     /// (grows *and* shrinks).
     pub fn resizes(&self) -> u64 {
@@ -835,18 +816,19 @@ impl AdaptiveTable {
     /// Refresh `cached` to the current generation if it changed. The fast
     /// path — nothing changed — is a single atomic load.
     #[inline]
-    pub fn repin(&self, cached: &mut Option<(u64, Arc<TableGen>)>) {
-        let probe = self.inner.gen_probe.load(Ordering::SeqCst);
-        match cached {
-            Some((id, _)) if *id == probe => {}
-            _ => *cached = Some(self.pin()),
+    pub fn repin(&self, cached: &mut (u64, Arc<TableGen>)) {
+        if cached.0 != self.inner.gen_probe.load(Ordering::SeqCst) {
+            *cached = self.pin();
         }
     }
 
-    /// Count one false conflict into the open window.
+    /// Count one false conflict into the open window (no-op on a table
+    /// that cannot resize).
     #[inline]
     pub fn note_false_conflict(&self) {
-        self.inner.window_false.fetch_add(1, Ordering::SeqCst);
+        if self.can_resize() {
+            self.inner.window_false.fetch_add(1, Ordering::SeqCst);
+        }
     }
 
     /// Count one commit into the open window; at a window boundary,
@@ -857,8 +839,12 @@ impl AdaptiveTable {
     /// the two edges is the hysteresis that keeps the table from
     /// oscillating. Returns whether a new generation was published by this
     /// call. `engine` supplies the grace period that retires the old
-    /// generation.
+    /// generation. A table that cannot resize returns `false` without
+    /// touching the window.
     pub fn note_commit(&self, engine: &Arc<GraceEngine>) -> bool {
+        if !self.can_resize() {
+            return false;
+        }
         let c = self.inner.window_commits.fetch_add(1, Ordering::SeqCst) + 1;
         if !c.is_multiple_of(self.policy.window) {
             return false;
@@ -980,10 +966,18 @@ impl AdaptiveTable {
         // Under a background GraceDriver this is exactly the
         // fire-and-forget contract: the old generation retires in bounded
         // time with zero pollers. Cooperatively, whoever drives the period
-        // home (a begin-time poll, any fence waiter) runs it.
-        let inner = Arc::clone(&self.inner);
+        // home (a begin-time poll, any fence waiter) runs it. The callback
+        // holds the table only weakly: the engine keeps pending callbacks
+        // and the table keeps the pending ticket (hence the engine), so a
+        // strong reference here would leak both when the instance is
+        // dropped mid-migration. A table already gone has nothing to retire.
+        let inner = Arc::downgrade(&self.inner);
         let period = ticket.period();
-        ticket.on_complete(move || inner.retire(period));
+        ticket.on_complete(move || {
+            if let Some(inner) = inner.upgrade() {
+                inner.retire(period);
+            }
+        });
         true
     }
 
@@ -1014,11 +1008,23 @@ impl AdaptiveTable {
 mod tests {
     use super::*;
 
+    /// The current generation's table of a freshly built preset.
+    fn table_of(kind: StorageKind, nregs: usize) -> Arc<StripedTable> {
+        Arc::clone(&kind.build_tables(nregs).pin().1.table)
+    }
+
     #[test]
     fn per_register_is_identity_mapped() {
-        let t = PerRegisterTable::new(8);
+        let t = table_of(StorageKind::PerRegister, 8);
         assert_eq!(t.nstripes(), 8);
         for x in 0..8 {
+            assert_eq!(t.stripe_of(x), x);
+        }
+        // A non-power-of-two register file is not rounded up: the table
+        // holds exactly one lock word per register.
+        let t = table_of(StorageKind::PerRegister, 5);
+        assert_eq!(t.nstripes(), 5);
+        for x in 0..5 {
             assert_eq!(t.stripe_of(x), x);
         }
     }
@@ -1027,9 +1033,9 @@ mod tests {
     fn striped_footprint_is_constant_in_register_count() {
         // The whole point: metadata for a million registers is still only
         // `stripes` lock words.
-        let t = StorageKind::Striped { stripes: 256 }.build(1 << 20);
+        let t = StorageKind::Striped { stripes: 256 }.build_tables(1 << 20);
         assert_eq!(t.nstripes(), 256);
-        let p = StorageKind::PerRegister.build(1 << 10);
+        let p = StorageKind::PerRegister.build_tables(1 << 10);
         assert_eq!(p.nstripes(), 1 << 10);
     }
 
@@ -1079,8 +1085,8 @@ mod tests {
     #[test]
     fn lock_protocol_via_table_interface() {
         for table in [
-            StorageKind::PerRegister.build(4),
-            StorageKind::Striped { stripes: 2 }.build(4),
+            table_of(StorageKind::PerRegister, 4),
+            table_of(StorageKind::Striped { stripes: 2 }, 4),
         ] {
             let s = table.stripe_of(3);
             assert_eq!(table.try_lock_stripe(s, 5), Ok(0));
@@ -1137,7 +1143,7 @@ mod tests {
         t.record_writer_shared(s);
         assert_eq!(t.writer_hint(s), WriterHint::Shared);
         // Per-register tables never hint: every conflict there is real.
-        let p = PerRegisterTable::new(4);
+        let p = table_of(StorageKind::PerRegister, 4);
         p.record_writer(2, 2);
         assert_eq!(p.writer_hint(2), WriterHint::None);
     }
@@ -1324,14 +1330,13 @@ mod tests {
             threshold: 0,
             window: 1,
         });
-        let mut cached = None;
+        let mut cached = t.pin();
+        let first = cached.0;
         t.repin(&mut cached);
-        let first = cached.as_ref().unwrap().0;
-        t.repin(&mut cached);
-        assert_eq!(cached.as_ref().unwrap().0, first, "no change, no repin");
+        assert_eq!(cached.0, first, "no change, no repin");
         assert!(t.note_commit(&engine));
         t.repin(&mut cached);
-        let (second, gen) = cached.as_ref().unwrap();
+        let (second, gen) = &cached;
         assert!(*second > first);
         assert_eq!(gen.nstripes(), 2);
     }
@@ -1499,26 +1504,62 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "build_tables")]
-    fn fixed_build_rejects_adaptive() {
-        StorageKind::Adaptive(AdaptivePolicy::default()).build(8);
-    }
-
-    #[test]
     fn build_tables_dispatches() {
-        match (StorageKind::Striped { stripes: 4 }).build_tables(16) {
-            AnyTables::Fixed(t) => assert_eq!(t.nstripes(), 4),
-            AnyTables::Adaptive(_) => panic!("striped is fixed"),
+        // The fixed presets build a table that can never resize: a grow
+        // is capped at its start, and no shrink policy is armed.
+        let engine = GraceEngine::new(1);
+        for (kind, stripes) in [
+            (StorageKind::Striped { stripes: 4 }, 4),
+            (StorageKind::PerRegister, 16),
+        ] {
+            let t = kind.build_tables(16);
+            assert_eq!(t.nstripes(), stripes, "{kind:?}");
+            assert!(!t.can_resize(), "{kind:?}");
+            assert!(!t.try_grow(&engine) && !t.try_shrink(&engine));
+            t.note_false_conflict();
+            assert!(!t.note_commit(&engine));
+            assert_eq!(
+                t.inner.window_commits.load(Ordering::SeqCst)
+                    + t.inner.window_false.load(Ordering::SeqCst),
+                0,
+                "{kind:?}: a fixed table never touches the window counters"
+            );
         }
         // The default policy's start seeds from the register count: 16
         // registers deserve one stripe, a million deserve the 64 cap.
-        match StorageKind::Adaptive(AdaptivePolicy::default()).build_tables(16) {
-            AnyTables::Adaptive(t) => assert_eq!(t.nstripes(), 1),
-            AnyTables::Fixed(_) => panic!("adaptive is not fixed"),
-        }
-        match StorageKind::Adaptive(AdaptivePolicy::default()).build_tables(1 << 20) {
-            AnyTables::Adaptive(t) => assert_eq!(t.nstripes(), 64),
-            AnyTables::Fixed(_) => panic!("adaptive is not fixed"),
-        }
+        let t = StorageKind::Adaptive(AdaptivePolicy::default()).build_tables(16);
+        assert_eq!(t.nstripes(), 1);
+        assert!(t.can_resize());
+        let t = StorageKind::Adaptive(AdaptivePolicy::default()).build_tables(1 << 20);
+        assert_eq!(t.nstripes(), 64);
+    }
+
+    /// The retirement callback must not keep the table (and through its
+    /// pending ticket, the grace engine) alive: an instance dropped while
+    /// a migration window is still open frees its engine.
+    #[test]
+    fn dropping_mid_migration_frees_the_engine() {
+        use crate::prelude::*;
+        let stm = Tl2Stm::with_config(
+            StmConfig::new(8, 1)
+                .adaptive_stripes(AdaptivePolicy {
+                    start: 1,
+                    max: 4,
+                    threshold: 0,
+                    window: 1,
+                })
+                .grace_driver(DriverMode::Cooperative),
+        );
+        let mut h = stm.handle(0);
+        h.atomic(|tx| tx.write(0, 1));
+        assert_eq!(stm.stripe_resizes(), 1);
+        assert!(stm.migration_pending(), "nothing drove the period yet");
+        let engine = Arc::downgrade(stm.runtime().grace());
+        drop(h);
+        drop(stm);
+        assert!(
+            engine.upgrade().is_none(),
+            "a pending retirement callback leaked the grace engine"
+        );
     }
 }

@@ -3,12 +3,13 @@
 //!
 //! Globally: a pluggable version clock ([`crate::clock`], selected via
 //! [`StmConfig::clock`]: GV1 `fetch_add`, GV4 CAS-with-adopt, or GV5
-//! slot-local deltas) and a pluggable [`LockTable`] of versioned
-//! write-locks — one per register ([`crate::storage::PerRegisterTable`]) or
-//! a striped orec table ([`crate::storage::StripedTable`]), selected via
-//! [`StmConfig::storage`]. Transactions buffer writes, validate reads
-//! against their read timestamp, lock the *stripes* of their write set at
-//! commit (deduplicated, in sorted order), re-validate, then write back.
+//! slot-local deltas) and one [`AdaptiveTable`] of versioned write-locks,
+//! whose preset — per-register, fixed striped, or adaptive — is selected
+//! via [`StmConfig::storage`]. Every transaction pins one table generation
+//! at begin and runs against it. Transactions buffer writes, validate
+//! reads against their read timestamp, lock the *stripes* of their write
+//! set at commit (deduplicated, in sorted order), re-validate, then write
+//! back.
 //! Commit-time re-validation is *elided* when the clock proves no
 //! concurrent commit intervened (an exclusive `rv → rv + 1` bump — the
 //! classic TL2 fast path), counted in
@@ -18,7 +19,7 @@
 //! Striping trades metadata footprint for false conflicts: registers that
 //! share a stripe conflict even when disjoint. That is always conservative —
 //! the stripe version check can only abort more — so every correctness
-//! claim checked on recorded histories holds for both backends (see the
+//! claim checked on recorded histories holds for every preset (see the
 //! conformance suite and the `striped_conflicts` integration test).
 //!
 //! Non-transactional accesses ([`StmHandle::read_direct`] /
@@ -37,10 +38,7 @@
 use crate::api::{Abort, StmHandle};
 use crate::clock::{AnyClock, AutoClock, AutoMode, ClockKind, VersionClock};
 use crate::runtime::{Handle, Policy, PolicyKind, Runtime, Stm, StmConfig, TxCtx};
-use crate::storage::{
-    AnyLockTable, AnyTables, GenStripe, LockTable, ShrinkPolicy, StripeSnap, TableGen, WriterHint,
-};
-use crate::vlock::VLockState;
+use crate::storage::{AdaptiveTable, GenStripe, ShrinkPolicy, StorageKind, StripedTable, TableGen};
 use std::sync::Arc;
 use tm_chaos::Site;
 use tm_telemetry::EventKind;
@@ -64,12 +62,12 @@ const WRITE_HEAVY_PCT: u64 = 60;
 const READ_HEAVY_PCT: u64 = 30;
 
 /// TL2 state shared by all handles of one instance: the global version
-/// clock and the ownership-record table(s).
+/// clock and the ownership-record table.
 pub struct Tl2Shared {
-    /// Enums, not `Box<dyn …>`: lock-word sampling and stamp acquisition
-    /// sit on the transactional hot paths and must stay inlinable.
+    /// An enum, not `Box<dyn …>`: stamp acquisition sits on the
+    /// transactional hot paths and must stay inlinable.
     clock: AnyClock,
-    tables: AnyTables,
+    table: AdaptiveTable,
 }
 
 impl Tl2Shared {
@@ -83,8 +81,8 @@ impl Tl2Shared {
     }
 }
 
-/// TL2's [`PolicyKind`]: [`StmConfig::storage`] selects per-register vs
-/// striped orec locks.
+/// TL2's [`PolicyKind`]: [`StmConfig::storage`] selects the orec table
+/// preset.
 pub struct Tl2Kind;
 
 impl PolicyKind for Tl2Kind {
@@ -92,20 +90,18 @@ impl PolicyKind for Tl2Kind {
     type Shared = Tl2Shared;
 
     fn build_shared(cfg: &StmConfig) -> Tl2Shared {
-        let mut tables = cfg.storage.build_tables(cfg.nregs);
-        // Selecting the Auto clock is what arms the *full* governor: the
-        // adaptive table additionally gets its shrink side (the grow
+        let mut table = cfg.storage.build_tables(cfg.nregs);
+        // Selecting the Auto clock is what arms the *full* governor: an
+        // adaptive-preset table additionally gets its shrink side (the grow
         // migration protocol in reverse, hysteresis-gapped below the grow
         // threshold), enabled here — before the table is shared, per the
         // `enable_shrink` contract.
-        if cfg.clock == ClockKind::Auto {
-            if let AnyTables::Adaptive(at) = &mut tables {
-                at.enable_shrink(ShrinkPolicy::for_grow(at.policy()));
-            }
+        if cfg.clock == ClockKind::Auto && matches!(cfg.storage, StorageKind::Adaptive(_)) {
+            table.enable_shrink(ShrinkPolicy::for_grow(table.policy()));
         }
         Tl2Shared {
             clock: cfg.clock.build(cfg.nthreads),
-            tables,
+            table,
         }
     }
 
@@ -117,7 +113,7 @@ impl PolicyKind for Tl2Kind {
             wset: Vec::new(),
             stripes: Vec::new(),
             shared_stripes: Vec::new(),
-            pinned: None,
+            pinned: shared.table.pin(),
             last_txn_wrote: false,
             wver_of_last_commit: 0,
             gov_ro: 0,
@@ -135,22 +131,16 @@ impl PolicyKind for Tl2Kind {
         // same contract as every other cooperative grace-period user.
         // Late-attach the runtime's telemetry hub to the governed backends,
         // so their reconfiguration decisions land in the flight recorder.
-        if let AnyTables::Adaptive(at) = &shared.tables {
-            at.set_telemetry(Arc::clone(rt.telemetry()));
-        }
+        shared.table.set_telemetry(Arc::clone(rt.telemetry()));
         if let Some(a) = shared.auto_clock() {
             a.set_telemetry(Arc::clone(rt.telemetry()));
         }
-        let adaptive = matches!(shared.tables, AnyTables::Adaptive(_));
-        let auto = shared.auto_clock().is_some();
-        if !adaptive && !auto {
+        if !shared.table.can_resize() && shared.auto_clock().is_none() {
             return;
         }
         let shared = Arc::clone(shared);
         rt.set_tick_hook(move || {
-            if let AnyTables::Adaptive(at) = &shared.tables {
-                at.poll_migration();
-            }
+            shared.table.poll_migration();
             if let Some(a) = shared.auto_clock() {
                 a.poll_settle();
             }
@@ -165,42 +155,29 @@ pub type Tl2Stm = Stm<Tl2Kind>;
 pub type Tl2Handle = Handle<Tl2Policy>;
 
 impl Stm<Tl2Kind> {
-    /// Number of distinct lock words in the storage backend (the *current*
-    /// generation, under adaptive storage).
+    /// Number of distinct lock words in the current table generation.
     pub fn nstripes(&self) -> usize {
-        match &self.shared().tables {
-            AnyTables::Fixed(t) => t.nstripes(),
-            AnyTables::Adaptive(at) => at.nstripes(),
-        }
+        self.shared().table.nstripes()
     }
 
     /// The stripe guarding register `x` (for constructing stripe-collision
-    /// scenarios in tests and litmus programs). Under adaptive storage this
-    /// is the current generation's mapping, which a resize invalidates.
+    /// scenarios in tests and litmus programs): the current generation's
+    /// mapping, which a resize invalidates.
     pub fn stripe_of(&self, x: usize) -> usize {
-        match &self.shared().tables {
-            AnyTables::Fixed(t) => t.stripe_of(x),
-            AnyTables::Adaptive(at) => at.pin().1.table().stripe_of(x),
-        }
+        self.shared().table.pin().1.table().stripe_of(x)
     }
 
-    /// Adaptive-table generations published so far across all handles
-    /// (0 on fixed storage).
+    /// Table generations published so far across all handles (always 0
+    /// for the fixed presets).
     pub fn stripe_resizes(&self) -> u64 {
-        match &self.shared().tables {
-            AnyTables::Fixed(_) => 0,
-            AnyTables::Adaptive(at) => at.resizes(),
-        }
+        self.shared().table.resizes()
     }
 
-    /// Is an adaptive rehash migration window currently open (old
-    /// generation published but not yet retired)? Always `false` on fixed
-    /// storage.
+    /// Is a rehash migration window currently open (old generation
+    /// published but not yet retired)? Always `false` for the fixed
+    /// presets.
     pub fn migration_pending(&self) -> bool {
-        match &self.shared().tables {
-            AnyTables::Fixed(_) => false,
-            AnyTables::Adaptive(at) => at.migration_pending(),
-        }
+        self.shared().table.migration_pending()
     }
 
     /// Clock-discipline switches performed by the shared [`AutoClock`] so
@@ -234,23 +211,18 @@ impl Stm<Tl2Kind> {
     /// be 0, however many resizes have happened (no lock may ever be
     /// stranded in a retired table).
     pub fn locked_stripes(&self) -> usize {
-        fn locked(t: &dyn LockTable) -> usize {
+        fn locked(t: &StripedTable) -> usize {
             (0..t.nstripes())
                 .filter(|&s| t.sample_stripe(s).is_locked())
                 .count()
         }
-        match &self.shared().tables {
-            AnyTables::Fixed(t) => locked(t),
-            AnyTables::Adaptive(at) => {
-                let (_, gen) = at.pin();
-                locked(gen.table()) + gen.prev().map_or(0, |p| locked(p))
-            }
-        }
+        let (_, gen) = self.shared().table.pin();
+        locked(gen.table()) + gen.prev().map_or(0, locked)
     }
 }
 
-/// TL2 concurrency control (Fig 9) over a [`LockTable`] (or the adaptive
-/// multi-generation table) and a [`VersionClock`].
+/// TL2 concurrency control (Fig 9) over the multi-generation
+/// [`AdaptiveTable`] and a [`VersionClock`].
 ///
 /// The `rset`/`wset`/`stripes` vectors live for the life of the handle and
 /// are only ever `clear()`ed (in `begin` and at commit), never reallocated:
@@ -263,19 +235,18 @@ pub struct Tl2Policy {
     /// Sorted by register index; one entry per register.
     wset: Vec<(usize, u64)>,
     /// Commit-time scratch: deduplicated (generation, stripe) lock words of
-    /// the write set. Generation 0 (a retiring table, during an adaptive
-    /// migration window) sorts — and therefore locks — first, giving every
-    /// committer the same cross-generation acquisition order.
+    /// the write set. Generation 0 (a retiring table, during a migration
+    /// window) sorts — and therefore locks — first, giving every committer
+    /// the same cross-generation acquisition order.
     stripes: Vec<GenStripe>,
     /// Commit-time scratch: lock words more than one of this commit's
     /// registers map to (usually empty). Their writer hints get the
     /// ambiguous sentinel, so later aborts there are not misclassified as
     /// false conflicts.
     shared_stripes: Vec<GenStripe>,
-    /// The adaptive-table generation this handle's transactions run
-    /// against, re-pinned at begin whenever the generation probe moved.
-    /// `None` under fixed storage (and before the first transaction).
-    pinned: Option<(u64, Arc<TableGen>)>,
+    /// The table generation this handle's transactions run against,
+    /// re-pinned at begin whenever the generation probe moved.
+    pinned: (u64, Arc<TableGen>),
     /// Did the last completed transaction write anything? Drives the buggy
     /// read-only fence elision reproduced from [43].
     last_txn_wrote: bool,
@@ -291,154 +262,10 @@ pub struct Tl2Policy {
     gov_wr: u64,
 }
 
-/// The lock-table view one transaction runs against: a fixed table, or the
-/// pinned adaptive generation (with the retiring parent riding along during
-/// a migration window). A free function over the two policy fields — not a
-/// method — so the borrow stays field-precise and the hot paths can keep
-/// mutating the read/write sets alongside it.
-#[derive(Clone, Copy)]
-enum Tables<'a> {
-    Fixed(&'a AnyLockTable),
-    Gen(&'a TableGen),
-}
-
-#[inline]
-fn tables<'a>(shared: &'a Tl2Shared, pinned: &'a Option<(u64, Arc<TableGen>)>) -> Tables<'a> {
-    match &shared.tables {
-        AnyTables::Fixed(t) => Tables::Fixed(t),
-        AnyTables::Adaptive(_) => {
-            let (_, gen) = pinned.as_ref().expect("begin() pins a generation");
-            Tables::Gen(gen)
-        }
-    }
-}
-
-impl Tables<'_> {
-    /// Sample every live lock word guarding register `x`.
-    #[inline]
-    fn snap(&self, x: usize) -> StripeSnap {
-        match self {
-            Tables::Fixed(t) => StripeSnap {
-                cur: t.sample(x),
-                prev: None,
-            },
-            Tables::Gen(g) => g.sample(x),
-        }
-    }
-
-    /// Push the (generation, stripe) address of every lock word guarding
-    /// `x` — two during a migration window, one otherwise.
-    #[inline]
-    fn push_gen_stripes(&self, x: usize, out: &mut Vec<GenStripe>) {
-        match self {
-            Tables::Fixed(t) => out.push((1, t.stripe_of(x))),
-            Tables::Gen(g) => {
-                out.push((1, g.table().stripe_of(x)));
-                if let Some(p) = g.prev() {
-                    out.push((0, p.stripe_of(x)));
-                }
-            }
-        }
-    }
-
-    #[inline]
-    fn try_lock(&self, (gen, s): GenStripe, owner: u16) -> Result<u64, VLockState> {
-        match (self, gen) {
-            (Tables::Fixed(t), _) => t.try_lock_stripe(s, owner),
-            (Tables::Gen(g), 1) => g.table().try_lock_stripe(s, owner),
-            (Tables::Gen(g), _) => g.prev().expect("gen-0 stripe").try_lock_stripe(s, owner),
-        }
-    }
-
-    #[inline]
-    fn unlock(&self, (gen, s): GenStripe) {
-        match (self, gen) {
-            (Tables::Fixed(t), _) => t.unlock_stripe(s),
-            (Tables::Gen(g), 1) => g.table().unlock_stripe(s),
-            (Tables::Gen(g), _) => g.prev().expect("gen-0 stripe").unlock_stripe(s),
-        }
-    }
-
-    #[inline]
-    fn unlock_set_version(&self, (gen, s): GenStripe, version: u64) {
-        match (self, gen) {
-            (Tables::Fixed(t), _) => t.unlock_stripe_set_version(s, version),
-            (Tables::Gen(g), 1) => g.table().unlock_stripe_set_version(s, version),
-            (Tables::Gen(g), _) => g
-                .prev()
-                .expect("gen-0 stripe")
-                .unlock_stripe_set_version(s, version),
-        }
-    }
-
-    /// Record `x` as the last committed writer of its stripe(s) — in every
-    /// live generation, so the hint survives a migration. Lock words in
-    /// `ambiguous` (sorted) received writes for *several* of this commit's
-    /// registers: they get the [`WriterHint::Shared`] sentinel instead, so
-    /// a later abort there is never misclassified as false.
-    #[inline]
-    fn record_writer(&self, x: usize, ambiguous: &[GenStripe]) {
-        fn record(t: &impl LockTable, gen: u8, x: usize, ambiguous: &[GenStripe]) {
-            let s = t.stripe_of(x);
-            if ambiguous.binary_search(&(gen, s)).is_ok() {
-                t.record_writer_shared(s);
-            } else {
-                t.record_writer(s, x);
-            }
-        }
-        match self {
-            Tables::Fixed(t) => record(*t, 1, x, ambiguous),
-            Tables::Gen(g) => {
-                record(g.table(), 1, x, ambiguous);
-                if let Some(p) = g.prev() {
-                    record(p, 0, x, ambiguous);
-                }
-            }
-        }
-    }
-
-    /// Advisory classification of an abort on register `x`: a *false*
-    /// conflict is one where the failing stripe's last committed writer was
-    /// a different *single* register — the two merely share a lock word.
-    /// [`WriterHint::Shared`] (multi-register commit) and
-    /// [`WriterHint::None`] never classify as false; and because hints are
-    /// written at write-back, a conflict with a transaction still
-    /// mid-commit is judged against the *previous* commit through the
-    /// stripe — a bounded over-count the growth threshold tolerates, never
-    /// a correctness issue.
-    #[inline]
-    fn false_conflict(&self, x: usize) -> bool {
-        let hint = match self {
-            Tables::Fixed(t) => t.writer_hint(t.stripe_of(x)),
-            Tables::Gen(g) => {
-                let t = g.table();
-                match t.writer_hint(t.stripe_of(x)) {
-                    WriterHint::None => g
-                        .prev()
-                        .map_or(WriterHint::None, |p| p.writer_hint(p.stripe_of(x))),
-                    h => h,
-                }
-            }
-        };
-        matches!(hint, WriterHint::Register(h) if h != x)
-    }
-
-    /// Does lock word `gs` guard register `x`? The re-hash that attributes
-    /// a commit-time lock failure back to one of our write-set registers.
-    #[inline]
-    fn guards(&self, (gen, s): GenStripe, x: usize) -> bool {
-        match (self, gen) {
-            (Tables::Fixed(t), _) => t.stripe_of(x) == s,
-            (Tables::Gen(g), 1) => g.table().stripe_of(x) == s,
-            (Tables::Gen(g), _) => g.prev().is_some_and(|p| p.stripe_of(x) == s),
-        }
-    }
-}
-
 /// Release the given lock words (abort paths).
-fn release(t: &Tables<'_>, stripes: &[GenStripe]) {
-    for &gs in stripes {
-        t.unlock(gs);
+fn release(g: &TableGen, stripes: &[GenStripe]) {
+    for &(gen, s) in stripes {
+        g.at(gen).unlock_stripe(s);
     }
 }
 
@@ -449,28 +276,26 @@ fn release(t: &Tables<'_>, stripes: &[GenStripe]) {
 /// validation, or a genuine bug in write-back — leaves `locked_stripes() ==
 /// 0` behind instead of wedging every future committer. Ordinary abort
 /// returns ride the same drop.
-struct LockGuard<'a, 'b> {
-    t: Tables<'b>,
+struct LockGuard<'a> {
+    g: &'a TableGen,
     stripes: &'a [GenStripe],
     armed: bool,
 }
 
-impl Drop for LockGuard<'_, '_> {
+impl Drop for LockGuard<'_> {
     fn drop(&mut self) {
         if self.armed {
-            release(&self.t, self.stripes);
+            release(self.g, self.stripes);
         }
     }
 }
 
 /// Classify an abort on register `x` and feed both the per-handle counter
-/// and (under adaptive storage) the table's sliding growth window.
-fn note_false_conflict(shared: &Tl2Shared, t: &Tables<'_>, ctx: &mut TxCtx<'_>, x: usize) {
-    if t.false_conflict(x) {
+/// and the table's sliding growth window.
+fn note_false_conflict(shared: &Tl2Shared, g: &TableGen, ctx: &mut TxCtx<'_>, x: usize) {
+    if g.false_conflict(x) {
         ctx.stats.false_conflicts += 1;
-        if let AnyTables::Adaptive(at) = &shared.tables {
-            at.note_false_conflict();
-        }
+        shared.table.note_false_conflict();
     }
 }
 
@@ -496,17 +321,16 @@ impl Tl2Policy {
         }
     }
 
-    /// Commit-epilogue window bookkeeping for adaptive storage: count the
-    /// commit and, at a window boundary whose false-conflict rate crosses
-    /// the policy threshold, publish a doubled generation (retired through
-    /// the runtime's grace engine) — or, when the governor armed the shrink
-    /// side, a halved one after the required run of calm windows.
+    /// Commit-epilogue window bookkeeping: count the commit and, at a
+    /// window boundary whose false-conflict rate crosses the policy
+    /// threshold, publish a doubled generation (retired through the
+    /// runtime's grace engine) — or, when the governor armed the shrink
+    /// side, a halved one after the required run of calm windows. A table
+    /// that cannot resize returns at once.
     #[inline]
     fn note_window_commit(&self, ctx: &mut TxCtx<'_>) {
-        if let AnyTables::Adaptive(at) = &self.shared.tables {
-            if at.note_commit(ctx.rt.grace()) {
-                ctx.stats.stripe_resizes += 1;
-            }
+        if self.shared.table.note_commit(ctx.rt.grace()) {
+            ctx.stats.stripe_resizes += 1;
         }
     }
 
@@ -565,30 +389,21 @@ impl Tl2Policy {
 
 impl Policy for Tl2Policy {
     fn begin(&mut self, ctx: &mut TxCtx<'_>) {
-        match &self.shared.tables {
-            AnyTables::Fixed(t) => ctx.stats.current_stripes = t.nstripes() as u64,
-            AnyTables::Adaptive(at) => {
-                // If our pinned generation carries a retiring parent, give
-                // the migration one (non-blocking) driving step — this is
-                // what completes rehashes under plain transaction traffic,
-                // with no fences and no background driver in the picture.
-                if self
-                    .pinned
-                    .as_ref()
-                    .is_some_and(|(_, g)| g.prev().is_some())
-                {
-                    at.poll_migration();
-                }
-                // Pin (or re-pin) the generation this transaction will lock
-                // and validate against. The epoch slot was entered before
-                // `begin` (see the runtime), so a publish we raced either
-                // sees us in its grace period's snapshot or we observe its
-                // new generation probe — never neither.
-                at.repin(&mut self.pinned);
-                ctx.stats.current_stripes =
-                    self.pinned.as_ref().map_or(0, |(_, g)| g.nstripes()) as u64;
-            }
+        let table = &self.shared.table;
+        // If our pinned generation carries a retiring parent, give the
+        // migration one (non-blocking) driving step — this is what
+        // completes rehashes under plain transaction traffic, with no
+        // fences and no background driver in the picture.
+        if self.pinned.1.prev().is_some() {
+            table.poll_migration();
         }
+        // Pin (or re-pin) the generation this transaction will lock and
+        // validate against. The epoch slot was entered before `begin` (see
+        // the runtime), so a publish we raced either sees us in its grace
+        // period's snapshot or we observe its new generation probe — never
+        // neither.
+        table.repin(&mut self.pinned);
+        ctx.stats.current_stripes = self.pinned.1.nstripes() as u64;
         // Under the Auto clock, give an open discipline handoff one
         // non-blocking driving step — the cooperative-mode mirror of the
         // migration poll above, and what re-arms the GV1 elision fast path
@@ -614,18 +429,18 @@ impl Policy for Tl2Policy {
         }
         // Fig 9 lines 17–23: ver, value, lock, ver again (at stripe
         // granularity: any commit to a stripe-sharing register aborts us —
-        // conservative, never unsound). During an adaptive migration window
-        // the snap spans both generations, so a commit through either
-        // table is observed.
-        let t = tables(&self.shared, &self.pinned);
-        let s1 = t.snap(x);
+        // conservative, never unsound). During a migration window the snap
+        // spans both generations, so a commit through either table is
+        // observed.
+        let g = &*self.pinned.1;
+        let s1 = g.sample(x);
         let val = ctx.rt.load(x);
-        let s2 = t.snap(x);
+        let s2 = g.sample(x);
         if s2.is_locked() || s1 != s2 || self.rv < s2.version_max() {
             if self.rv < s2.version_max() {
                 self.refresh_on_stale_rv(ctx, s2.version_max());
             }
-            note_false_conflict(&self.shared, &t, ctx, x);
+            note_false_conflict(&self.shared, g, ctx, x);
             ctx.stats.aborts_read += 1;
             return Err(Abort);
         }
@@ -657,15 +472,15 @@ impl Policy for Tl2Policy {
             self.note_governor_commit(ctx, false);
             return Ok(());
         }
-        let t = tables(&self.shared, &self.pinned);
+        let g = &*self.pinned.1;
         // Lock the write set's lock words (deduplicated, sorted order;
-        // trylock-or-abort per Fig 7). During an adaptive migration window
+        // trylock-or-abort per Fig 7). During a migration window
         // every register contributes its stripe in *both* generations —
         // retiring-table words sort first, so all committers acquire
         // cross-generation locks in the same order.
         self.stripes.clear();
         for &(x, _) in &self.wset {
-            t.push_gen_stripes(x, &mut self.stripes);
+            g.push_gen_stripes(x, &mut self.stripes);
         }
         self.stripes.sort_unstable();
         // Lock words several of our registers map to (pre-dedup
@@ -684,16 +499,16 @@ impl Policy for Tl2Policy {
             // A forced abort here is indistinguishable from losing the
             // trylock race below: release what we took, walk the same path.
             if ctx.rt.chaos_abort(ctx.slot, Site::LockAcquire) {
-                release(&t, &self.stripes[..taken]);
+                release(g, &self.stripes[..taken]);
                 ctx.stats.aborts_lock += 1;
                 return Err(Abort);
             }
-            if t.try_lock(gs, ctx.slot).is_err() {
-                release(&t, &self.stripes[..taken]);
+            if g.at(gs.0).try_lock_stripe(gs.1, ctx.slot).is_err() {
+                release(g, &self.stripes[..taken]);
                 // Re-hash the failed lock word back to one of our write-set
                 // registers to classify the conflict.
-                if let Some(&(x, _)) = self.wset.iter().find(|&&(x, _)| t.guards(gs, x)) {
-                    note_false_conflict(&self.shared, &t, ctx, x);
+                if let Some(&(x, _)) = self.wset.iter().find(|&&(x, _)| g.guards(gs, x)) {
+                    note_false_conflict(&self.shared, g, ctx, x);
                 }
                 ctx.stats.aborts_lock += 1;
                 return Err(Abort);
@@ -703,7 +518,7 @@ impl Policy for Tl2Policy {
         // Abort returns below drop it armed (releasing the set); the normal
         // path disarms it right after the unlock loop.
         let mut locks = LockGuard {
-            t,
+            g,
             stripes: &self.stripes,
             armed: true,
         };
@@ -742,12 +557,12 @@ impl Policy for Tl2Policy {
             // to it between our read and our lock acquisition. The armed
             // `locks` guard releases the lock set on the abort return.
             for &x in &self.rset {
-                let s = t.snap(x);
+                let s = g.sample(x);
                 if s.is_locked_by_other(ctx.slot) || self.rv < s.version_max() {
                     if self.rv < s.version_max() {
                         self.refresh_on_stale_rv(ctx, s.version_max());
                     }
-                    note_false_conflict(&self.shared, &t, ctx, x);
+                    note_false_conflict(&self.shared, g, ctx, x);
                     ctx.stats.aborts_validate += 1;
                     return Err(Abort);
                 }
@@ -759,10 +574,10 @@ impl Policy for Tl2Policy {
         // stripes as false or real.
         for &(x, v) in &self.wset {
             ctx.rt.store(x, v);
-            t.record_writer(x, &self.shared_stripes);
+            g.record_writer(x, &self.shared_stripes);
         }
-        for &gs in &self.stripes {
-            t.unlock_set_version(gs, wver);
+        for &(gen, s) in &self.stripes {
+            g.at(gen).unlock_stripe_set_version(s, wver);
         }
         // Locks are released; disarm (and end) the unwind guard before the
         // epilogue below re-borrows `self` mutably.
@@ -1139,12 +954,8 @@ mod tests {
                 tx.write(0, 5)?;
                 tx.write(1, 6)
             });
-            match &stm.shared().tables {
-                AnyTables::Fixed(t) => {
-                    assert_eq!(t.writer_hint(0), WriterHint::Shared);
-                }
-                AnyTables::Adaptive(_) => unreachable!("fixed config"),
-            }
+            let (_, gen) = stm.shared().table.pin();
+            assert_eq!(gen.table().writer_hint(0), WriterHint::Shared);
         }
         // Force a conflict: reader samples register 0, parks; the writer
         // commits registers 0+1 again. The reader's abort is a REAL

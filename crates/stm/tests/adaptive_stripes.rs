@@ -20,28 +20,19 @@ fn eager(start: usize, max: usize, window: u64) -> AdaptivePolicy {
     }
 }
 
-/// Deterministically force one *false* conflict: the reader samples
+/// Deterministically force `rounds` *false* conflicts: the reader samples
 /// register 0 and parks; the writer commits to register 1 (stripe-sharing
 /// under a 1-stripe table); the reader's commit-time validation fails on a
 /// stripe whose last committed writer is register 1 — a false conflict by
-/// the writer-hint classification.
-#[test]
-fn false_conflicts_are_counted_and_grow_the_table() {
-    let stm = Tl2Stm::with_config(StmConfig::new(4, 2).adaptive_stripes(AdaptivePolicy {
-        start: 1,
-        max: 8,
-        threshold: 10,
-        window: 4,
-    }));
-    assert_eq!(stm.nstripes(), 1);
+/// the writer-hint classification. Returns the reader's stats.
+fn force_false_conflicts(stm: &Tl2Stm, rounds: u64) -> Stats {
     // Seed a hint for register 1's stripe so the very first forced abort
     // classifies (hints only exist after a commit through the stripe).
     {
         let mut h = stm.handle(0);
         h.atomic(|tx| tx.write(1, 1));
     }
-    let rounds = 8;
-    let stats = std::thread::scope(|s| {
+    std::thread::scope(|s| {
         let after_read = Arc::new(Barrier::new(2));
         let after_commit = Arc::new(Barrier::new(2));
         let reader = {
@@ -71,7 +62,19 @@ fn false_conflicts_are_counted_and_grow_the_table() {
             after_commit.wait();
         }
         reader.join().unwrap()
-    });
+    })
+}
+
+#[test]
+fn false_conflicts_are_counted_and_grow_the_table() {
+    let stm = Tl2Stm::with_config(StmConfig::new(4, 2).adaptive_stripes(AdaptivePolicy {
+        start: 1,
+        max: 8,
+        threshold: 10,
+        window: 4,
+    }));
+    assert_eq!(stm.nstripes(), 1);
+    let stats = force_false_conflicts(&stm, 8);
     assert!(
         stats.false_conflicts >= 1,
         "forced stripe-sharing aborts must classify as false: {stats:?}"
@@ -290,4 +293,15 @@ fn fixed_storage_reports_no_adaptivity() {
     let mut h = per_reg.handle(0);
     h.atomic(|tx| tx.write(0, 1));
     assert_eq!(h.stats().current_stripes, 8, "per-register: one per reg");
+    for x in 0..8 {
+        assert_eq!(per_reg.stripe_of(x), x, "per-register is identity-mapped");
+    }
+
+    // A fixed table never resizes, however many false conflicts it sees.
+    let one = Tl2Stm::with_config(StmConfig::new(4, 2).striped(1));
+    let stats = force_false_conflicts(&one, 4);
+    assert!(stats.false_conflicts >= 1, "{stats:?}");
+    assert_eq!((one.nstripes(), one.stripe_resizes()), (1, 0));
+    assert_eq!(stats.stripe_resizes, 0);
+    assert!(!one.migration_pending());
 }
